@@ -18,9 +18,12 @@ Three layers live here:
 
 from __future__ import annotations
 
+import heapq
+import threading
 from dataclasses import dataclass, field
 
 from ..dialects import accfg, func, scf
+from ..ir.attributes import IndexType
 from ..ir.block import Block
 from ..ir.operation import Operation
 from ..ir.ssa import BlockArgument, OpResult, SSAValue
@@ -187,11 +190,21 @@ class KnownFields:
         return KnownFields(self.is_top, merged)
 
 
+#: what an optimistic meet records for a field its two sides override with
+#: different values: the register holds *something*, but no value of the IR
+#: is it, so no field write can ever match it
+_CONFLICT = SSAValue(IndexType(), "conflict")
+
+
 def intersect(a: KnownFields, b: KnownFields) -> KnownFields:
+    """The meet: what both ``a`` and ``b`` guarantee, field by field."""
     if a.is_top and b.is_top:
-        return KnownFields(
-            True, {k: v for k, v in a.fields.items() if b.fields.get(k, v) is v}
-        )
+        # Every field either side overrides stays pinned down; a field the
+        # sides override with different values holds neither for sure.
+        fields = dict(a.fields)
+        for k, v in b.fields.items():
+            fields[k] = v if fields.get(k, v) is v else _CONFLICT
+        return KnownFields(True, fields)
     if a.is_top:
         a, b = b, a
     if b.is_top:
@@ -205,77 +218,198 @@ def intersect(a: KnownFields, b: KnownFields) -> KnownFields:
     )
 
 
+#: a state's equation: the states flowing into it, and the fields a setup
+#: writes on top of their meet (None for every other state)
+Equation = tuple[tuple[SSAValue | None, ...], dict[str, SSAValue] | None]
+
+
 class KnownFieldsAnalysis:
-    """Computes register contents represented by a state SSA value."""
+    """Computes register contents represented by a state SSA value.
+
+    Every state value has one equation over the states flowing into it
+    (:meth:`_equation`): a setup updates its input state with the fields it
+    writes; an ``scf.if`` result, an ``scf.for`` result and a loop-carried
+    block argument intersect their incoming states; anything else knows
+    nothing.  Loop-carried states make the equations cyclic.  A query finds
+    the strongly connected components below the queried value (Tarjan's
+    lowlinks) and solves them in dependency order: an acyclic value is
+    evaluated once, a cycle is iterated from the optimistic top down to its
+    greatest fixpoint with a worklist.  Every solved value is cached, so
+    the work is a small constant number of evaluations per state value,
+    however deeply loops and branches nest.
+
+    Setup updates distribute over :func:`intersect`, so the greatest
+    fixpoint is also the meet over all paths into a value: the answer a
+    demand-driven recursion gives when it breaks every cycle with the
+    optimistic top, whatever value the query starts from.
+    """
 
     def __init__(self, accelerator: str) -> None:
         self.accelerator = accelerator
         self._cache: dict[SSAValue, KnownFields] = {}
-        self._in_progress: set[SSAValue] = set()
-        self._tainted = False
+        #: current iterates of the cycle being solved
+        self._pending: dict[SSAValue, KnownFields] = {}
+        #: one solve at a time: a shared instance (the serve layer's
+        #: analysis cache) must never hand out another query's iterates
+        self._lock = threading.Lock()
 
     def known(self, state: SSAValue | None) -> KnownFields:
         if state is None:
             return KnownFields.bottom()
-        if state in self._cache:
-            return self._cache[state]
-        if state in self._in_progress:
-            # Optimistic cycle break.  The answer below this point depends on
-            # *which* value is currently being resolved, so it must not be
-            # cached — a TOP-seeded partial result recorded globally would
-            # poison later queries with a different recursion root.
-            self._tainted = True
-            return KnownFields.top()
-        self._in_progress.add(state)
-        outer_tainted = self._tainted
-        self._tainted = False
-        try:
-            result = self._compute(state)
-        finally:
-            self._in_progress.discard(state)
-        if not self._tainted:
-            self._cache[state] = result
-        self._tainted = self._tainted or outer_tainted
+        result = self._cache.get(state)
+        if result is None:
+            with self._lock:
+                if state not in self._cache:
+                    self._solve(state)
+                result = self._cache[state]
         return result
 
-    def _compute(self, state: SSAValue) -> KnownFields:
+    def _current(self, state: SSAValue | None) -> KnownFields:
+        """The answer for a solved input, else its iterate in this solve."""
+        if state is None:
+            return KnownFields.bottom()
+        result = self._cache.get(state)
+        return result if result is not None else self._pending[state]
+
+    @staticmethod
+    def _equation(state: SSAValue) -> Equation:
+        """``state``'s inputs, and the fields it writes if it is a setup's."""
         if isinstance(state, OpResult):
             op = state.op
             if isinstance(op, accfg.SetupOp):
-                base = self.known(op.in_state)
-                return base.updated(dict(op.fields))
+                return (op.in_state,), dict(zip(op.field_names, op.field_values))
             if isinstance(op, scf.IfOp):
-                index = state.index
                 then_yield = op.then_block.terminator
                 else_yield = op.else_block.terminator if op.has_else else None
-                if not isinstance(then_yield, scf.YieldOp) or not isinstance(
+                if isinstance(then_yield, scf.YieldOp) and isinstance(
                     else_yield, scf.YieldOp
                 ):
-                    return KnownFields.bottom()
-                return intersect(
-                    self.known(then_yield.operands[index]),
-                    self.known(else_yield.operands[index]),
-                )
+                    return (
+                        then_yield.operands[state.index],
+                        else_yield.operands[state.index],
+                    ), None
+                return (), None
             if isinstance(op, scf.ForOp):
-                index = state.index
-                return intersect(
-                    self.known(op.iter_inits[index]),
-                    self.known(op.yield_op.operands[index]),
-                )
-            return KnownFields.bottom()
+                return (
+                    op.iter_inits[state.index],
+                    op.yield_op.operands[state.index],
+                ), None
+            return (), None
         if isinstance(state, BlockArgument):
-            block = state.block
-            parent = block.parent_op
-            if isinstance(parent, scf.ForOp) and block is parent.body:
-                if state.index == 0:
-                    return KnownFields.bottom()  # induction variable, not state
+            parent = state.block.parent_op
+            # Argument 0 of a loop body is the induction variable, not state.
+            if (
+                isinstance(parent, scf.ForOp)
+                and state.block is parent.body
+                and state.index > 0
+            ):
                 iter_index = state.index - 1
-                return intersect(
-                    self.known(parent.iter_inits[iter_index]),
-                    self.known(parent.yield_op.operands[iter_index]),
-                )
+                return (
+                    parent.iter_inits[iter_index],
+                    parent.yield_op.operands[iter_index],
+                ), None
+        return (), None
+
+    def _compute(self, equation: Equation) -> KnownFields:
+        """Evaluate one equation on the current answers of its inputs."""
+        inputs, writes = equation
+        if not inputs:
             return KnownFields.bottom()
-        return KnownFields.bottom()
+        result = self._current(inputs[0])
+        for other in inputs[1:]:
+            result = intersect(result, self._current(other))
+        return result if writes is None else result.updated(writes)
+
+    def _solve(self, root: SSAValue) -> None:
+        """Tarjan's walk from ``root``; solves each component as it closes.
+
+        Components close in dependency order, so every input outside the
+        component being solved is already cached.
+        """
+        cache = self._cache
+        equation = self._equation(root)
+        for value in equation[0]:
+            if value is not None and value not in cache:
+                break
+        else:  # the common case: every input solved, so no cycle
+            cache[root] = self._compute(equation)
+            return
+        equations = {root: equation}
+        index = {root: 0}
+        low = [0]  # lowlink, by index
+        stack = [root]
+        walk = [(root, 0, iter(equation[0]))]
+        while walk:
+            node, node_index, unvisited = walk[-1]
+            for value in unvisited:
+                if value is None or value in cache:
+                    continue
+                value_index = index.get(value)
+                if value_index is None:  # descend
+                    value_index = index[value] = len(low)
+                    low.append(value_index)
+                    stack.append(value)
+                    equations[value] = equation = self._equation(value)
+                    walk.append((value, value_index, iter(equation[0])))
+                    break
+                # Unsolved and visited: an in-progress value, a back edge.
+                low[node_index] = min(low[node_index], value_index)
+            else:
+                walk.pop()
+                node_low = low[node_index]
+                if walk:
+                    parent_index = walk[-1][1]
+                    low[parent_index] = min(low[parent_index], node_low)
+                if node_low != node_index:
+                    continue  # part of a component that closes further up
+                if stack[-1] is node and node not in equations[node][0]:
+                    stack.pop()
+                    cache[node] = self._compute(equations[node])
+                    continue
+                component: list[SSAValue] = []
+                while True:
+                    value = stack.pop()
+                    component.append(value)
+                    if value is node:
+                        break
+                self._solve_cycle(component, equations)
+
+    def _solve_cycle(
+        self,
+        component: list[SSAValue],
+        equations: dict[SSAValue, Equation],
+    ) -> None:
+        """Greatest fixpoint of a cyclic component, listed inputs first.
+
+        Starts every member at the optimistic top and re-evaluates a member
+        whenever one of its inputs changes, earliest member first.
+        """
+        pending = self._pending
+        position: dict[SSAValue, int] = {}
+        users: dict[SSAValue, list[int]] = {}
+        for i, value in enumerate(component):
+            position[value] = i
+            users[value] = []
+            pending[value] = KnownFields.top()
+        for value in component:
+            for source in equations[value][0]:
+                if source in users:
+                    users[source].append(position[value])
+        queue = list(range(len(component)))  # sorted, so already a heap
+        queued = [True] * len(component)
+        while queue:
+            i = heapq.heappop(queue)
+            queued[i] = False
+            value = component[i]
+            result = self._compute(equations[value])
+            if result != pending[value]:
+                pending[value] = result
+                for user in users[value]:
+                    if not queued[user]:
+                        queued[user] = True
+                        heapq.heappush(queue, user)
+        for value in component:
+            self._cache[value] = pending.pop(value)
 
 
 # ---------------------------------------------------------------------------

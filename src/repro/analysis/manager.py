@@ -59,30 +59,40 @@ class AnalysisManager:
     """
 
     def __init__(self) -> None:
-        #: (id(scope op), kind) -> analysis instance
-        self._entries: dict[tuple[int, object], object] = {}
-        #: id(scope op) -> scope op (pins identity so ids stay unique)
-        self._scopes: dict[int, Operation] = {}
+        #: id(scope op) -> {kind: analysis instance}
+        self._entries: dict[int, dict[object, object]] = {}
+        #: id(scope op) -> (scope op, id of its top-level ancestor); pins
+        #: identity so ids stay unique
+        self._scopes: dict[int, tuple[Operation, int]] = {}
+        #: id(top-level op) -> ids of the scopes registered under it
+        self._tops: dict[int, set[int]] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return sum(len(kinds) for kinds in self._entries.values())
 
     def get(
         self, scope: Operation, kind: object, factory: Callable[[], object]
     ) -> object:
         """The cached analysis for ``(scope, kind)``, building on first use."""
-        key = (id(scope), kind)
+        scope_id = id(scope)
         with self._lock:
-            entry = self._entries.get(key)
+            kinds = self._entries.get(scope_id)
+            entry = kinds.get(kind) if kinds is not None else None
             if entry is None:
                 self.misses += 1
                 entry = factory()
-                self._entries[key] = entry
-                self._scopes[id(scope)] = scope
+                if kinds is None:
+                    kinds = self._entries[scope_id] = {}
+                    top = scope
+                    while top.parent_op is not None:
+                        top = top.parent_op
+                    self._scopes[scope_id] = (scope, id(top))
+                    self._tops.setdefault(id(top), set()).add(scope_id)
+                kinds[kind] = entry
             else:
                 self.hits += 1
             return entry
@@ -127,6 +137,7 @@ class AnalysisManager:
             if mutated is None:
                 self._entries.clear()
                 self._scopes.clear()
+                self._tops.clear()
                 return
             mutated = list(mutated)
             if not mutated:
@@ -144,17 +155,29 @@ class AnalysisManager:
             ):
                 self.invalidate()
                 return
-            stale_scopes = {
-                scope_id
-                for scope_id, scope in self._scopes.items()
-                if any(_is_related(scope, op) for op in mutated)
-            }
-            if not stale_scopes:
-                return
-            self._entries = {
-                key: entry
-                for key, entry in self._entries.items()
-                if key[0] not in stale_scopes
-            }
-            for scope_id in stale_scopes:
-                del self._scopes[scope_id]
+            self._drop(
+                [
+                    scope_id
+                    for scope_id, (scope, _) in self._scopes.items()
+                    if any(_is_related(scope, op) for op in mutated)
+                ]
+            )
+
+    def forget(self, root: Operation) -> None:
+        """Drop every entry computed over top-level op ``root`` or inside it.
+
+        For owners that stop using a module, such as a cache evicting it.
+        Unlike :meth:`invalidate`, this never touches entries of other
+        modules, and a module without entries is a no-op.
+        """
+        with self._lock:
+            self._drop(list(self._tops.get(id(root), ())))
+
+    def _drop(self, scope_ids: list[int]) -> None:
+        for scope_id in scope_ids:
+            del self._entries[scope_id]
+            _, top_id = self._scopes.pop(scope_id)
+            siblings = self._tops[top_id]
+            siblings.discard(scope_id)
+            if not siblings:
+                del self._tops[top_id]

@@ -511,7 +511,7 @@ class CmpiOp(Operation):
 
 @register_custom_parser("arith.cmpi")
 def _parse_cmpi(parser) -> CmpiOp:
-    predicate = parser.expect_kind("ID").text
+    predicate = parser.expect_kind("ID")
     parser.expect(",")
     lhs = parser.parse_value_use()
     parser.expect(",")

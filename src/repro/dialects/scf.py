@@ -39,7 +39,7 @@ class YieldOp(Operation):
 @register_custom_parser("scf.yield")
 def _parse_yield(parser) -> YieldOp:
     values = []
-    if parser.current.kind == "PERCENT":
+    if parser.kind == "PERCENT":
         values.append(parser.parse_value_use())
         while parser.accept(","):
             values.append(parser.parse_value_use())
@@ -195,7 +195,7 @@ class ForOp(Operation):
 
 @register_custom_parser("scf.for")
 def _parse_for(parser) -> ForOp:
-    iv_token = parser.expect_kind("PERCENT")
+    iv_name = parser.expect_kind("PERCENT")[1:]
     parser.expect("=")
     lb = parser.parse_value_use()
     parser.expect("to")
@@ -207,17 +207,16 @@ def _parse_for(parser) -> ForOp:
     if parser.accept("iter_args"):
         parser.expect("(")
         while True:
-            name_token = parser.expect_kind("PERCENT")
+            iter_names.append(parser.expect_kind("PERCENT")[1:])
             parser.expect("=")
             init = parser.parse_value_use()
-            iter_names.append(name_token.text[1:])
             iter_inits.append(init)
             if not parser.accept(","):
                 break
         parser.expect(")")
         parser.expect("->")
         parser.parse_type_list()
-    entry_args = [(iv_token.text[1:], lb.type)] + [
+    entry_args = [(iv_name, lb.type)] + [
         (name, init.type) for name, init in zip(iter_names, iter_inits)
     ]
     region = parser.parse_region(entry_args=entry_args)

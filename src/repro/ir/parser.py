@@ -9,7 +9,6 @@ support (unknown names become :class:`UnregisteredOp`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .attributes import (
     ArrayAttr,
@@ -35,109 +34,149 @@ class ParseError(Exception):
     """Raised on malformed IR text, with line/column context."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
+#: one token, preceded by any whitespace and ``//`` comments it skips; token
+#: kinds are the group names, most frequent first.  A skipped comment runs
+#: through its newline, so backtracking can never end it early and read its
+#: tail as a token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>[ \t\r]+)
-  | (?P<COMMENT>//[^\n]*)
-  | (?P<NL>\n)
-  | (?P<ARROW>->)
-  | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<PERCENT>%[A-Za-z0-9_]+)
-  | (?P<AT>@[A-Za-z0-9_.$-]+)
-  | (?P<CARET>\^[A-Za-z0-9_]*)
-  | (?P<BANGID>![A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
-  | (?P<HASHID>\#[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
-  | (?P<INT>-?\d+)
-  | (?P<ID>[A-Za-z_][A-Za-z0-9_.$]*)
-  | (?P<PUNCT>[(){}\[\]<>=,:])
+    [ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*
+    (?:
+      (?P<PUNCT>[(){}\[\]<>=,:])
+    | (?P<PERCENT>%[A-Za-z0-9_]+)
+    | (?P<ID>[A-Za-z_][A-Za-z0-9_.$]*)
+    | (?P<INT>-?\d+)
+    | (?P<BANGID>![A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
+    | (?P<STRING>"(?:[^"\\]|\\.)*")
+    | (?P<ARROW>->)
+    | (?P<AT>@[A-Za-z0-9_.$-]+)
+    | (?P<CARET>\^[A-Za-z0-9_]*)
+    | (?P<HASHID>\#[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
+    )
     """,
     re.VERBOSE,
 )
+_KINDS = (None, *sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))
+_SKIP_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            column = pos - line_start + 1
-            raise ParseError(f"line {line}:{column}: unexpected character {text[pos]!r}")
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind == "NL":
-            line += 1
-            line_start = match.end()
-        elif kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, value, line, pos - line_start + 1))
-        pos = match.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+#: types are immutable values, so the common ones are shared
+_BUILTIN_TYPES: dict[str, TypeAttribute] = {
+    "index": IndexType(),
+    **{f"i{width}": IntegerType(width) for width in (1, 8, 16, 32, 64)},
+}
+
+
+def line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Split ``text`` into parallel lists of token kinds, texts and offsets.
+
+    The last token is ``EOF`` (empty text, offset ``len(text)``).
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
+    end = 0
+    for match in iter(_TOKEN_RE.scanner(text).match, None):
+        group = match.lastindex
+        add_kind(_KINDS[group])
+        add_text(match[group])
+        add_offset(match.start(group))
+        end = match.end()
+    end = _SKIP_RE.match(text, end).end()
+    if end < len(text):
+        line, column = line_column(text, end)
+        raise ParseError(f"line {line}:{column}: unexpected character {text[end]!r}")
+    add_kind("EOF")
+    add_text("")
+    add_offset(end)
+    return kinds, texts, offsets
 
 
 class Parser:
     """Recursive-descent parser over the token stream.
 
-    Value names are resolved through a stack of scopes; entering a region
-    pushes a scope so names shadow correctly while enclosing definitions
-    remain visible (matching MLIR's visibility rules for non-isolated ops).
+    The current token is ``kind`` and ``text``, plain attributes that
+    :meth:`advance` moves along.  Value names are resolved through a stack
+    of scopes; entering a region pushes a scope so names shadow correctly
+    while enclosing definitions remain visible (matching MLIR's visibility
+    rules for non-isolated ops).
     """
 
     def __init__(self, text: str, filename: str | None = None) -> None:
-        self._tokens = tokenize(text)
+        self._source = text
+        self._kinds, self._texts, self._offsets = tokenize(text)
         self._pos = 0
+        self.kind = self._kinds[0]
+        self.text = self._texts[0]
         self._scopes: list[dict[str, SSAValue]] = [{}]
         self._filename = filename
+        # line-counting cursor: ``_line`` is the line of offset ``_line_at``
+        self._line = 1
+        self._line_at = 0
 
     # -- token access --------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def peek(self, offset: int = 1) -> Token:
-        i = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[i]
-
-    def advance(self) -> Token:
-        token = self.current
-        if token.kind != "EOF":
+    def advance(self) -> str:
+        """Consume the current token; returns its text."""
+        text = self.text
+        if self.kind != "EOF":
             self._pos += 1
-        return token
+            self.kind = self._kinds[self._pos]
+            self.text = self._texts[self._pos]
+        return text
+
+    def location(self) -> tuple[int, int]:
+        """Line and column of the current token.
+
+        Counts newlines from the previous query, so a parse that asks in
+        source order scans the text once.
+        """
+        offset = self._offsets[self._pos]
+        if offset >= self._line_at:
+            self._line += self._source.count("\n", self._line_at, offset)
+        else:
+            self._line -= self._source.count("\n", offset, self._line_at)
+        self._line_at = offset
+        return self._line, offset - self._source.rfind("\n", 0, offset)
 
     def error(self, message: str) -> ParseError:
-        t = self.current
-        return ParseError(f"line {t.line}:{t.column}: {message} (found {t.text!r})")
+        line, column = self.location()
+        return ParseError(f"line {line}:{column}: {message} (found {self.text!r})")
+
+    # The three helpers below step inline rather than through advance():
+    # they are the parser's hottest calls, and the token they consume is
+    # never EOF (its kind is not asked for and its text is empty).
 
     def accept(self, text: str) -> bool:
-        if self.current.text == text:
-            self.advance()
-            return True
-        return False
+        if self.text != text:
+            return False
+        pos = self._pos = self._pos + 1
+        self.kind = self._kinds[pos]
+        self.text = self._texts[pos]
+        return True
 
-    def expect(self, text: str) -> Token:
-        if self.current.text != text:
+    def expect(self, text: str) -> None:
+        if self.text != text:
             raise self.error(f"expected {text!r}")
-        return self.advance()
+        pos = self._pos = self._pos + 1
+        self.kind = self._kinds[pos]
+        self.text = self._texts[pos]
 
-    def accept_kind(self, kind: str) -> Token | None:
-        if self.current.kind == kind:
-            return self.advance()
-        return None
-
-    def expect_kind(self, kind: str) -> Token:
-        if self.current.kind != kind:
+    def expect_kind(self, kind: str) -> str:
+        """Consume a token of ``kind``; returns its text."""
+        if self.kind != kind:
             raise self.error(f"expected {kind}")
-        return self.advance()
+        text = self.text
+        pos = self._pos = self._pos + 1
+        self.kind = self._kinds[pos]
+        self.text = self._texts[pos]
+        return text
 
     # -- scopes ------------------------------------------------------------
 
@@ -160,20 +199,25 @@ class Parser:
     # -- common fragments --------------------------------------------------
 
     def parse_string(self) -> str:
-        token = self.expect_kind("STRING")
-        body = token.text[1:-1]
+        body = self.expect_kind("STRING")[1:-1]
+        if "\\" not in body:
+            return body
         return body.replace('\\"', '"').replace("\\\\", "\\").replace("\\n", "\n")
 
     def parse_int(self) -> int:
-        return int(self.expect_kind("INT").text)
+        return int(self.expect_kind("INT"))
 
     def parse_value_use(self) -> SSAValue:
-        token = self.expect_kind("PERCENT")
-        return self.lookup_value(token.text[1:])
+        if self.kind != "PERCENT":
+            raise self.error("expected PERCENT")
+        # Look up before consuming, so an undefined name is the error's token.
+        value = self.lookup_value(self.text[1:])
+        self.advance()
+        return value
 
     def parse_value_use_list(self, terminator: str) -> list[SSAValue]:
         values: list[SSAValue] = []
-        if self.current.text == terminator:
+        if self.text == terminator:
             return values
         values.append(self.parse_value_use())
         while self.accept(","):
@@ -183,23 +227,23 @@ class Parser:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> TypeAttribute:
-        token = self.current
-        if token.kind == "ID":
-            if token.text == "index":
-                self.advance()
-                return IndexType()
-            match = re.fullmatch(r"i(\d+)", token.text)
-            if match:
-                self.advance()
-                return IntegerType(int(match.group(1)))
-            raise self.error(f"unknown type '{token.text}'")
-        if token.kind == "BANGID":
-            dialect = token.text[1:].split(".", 1)[0]
+        kind, text = self.kind, self.text
+        if kind == "ID":
+            builtin = _BUILTIN_TYPES.get(text)
+            if builtin is None:
+                match = re.fullmatch(r"i(\d+)", text)
+                if match is None:
+                    raise self.error(f"unknown type '{text}'")
+                builtin = IntegerType(int(match.group(1)))
+            self.advance()
+            return builtin
+        if kind == "BANGID":
+            dialect = text[1:].split(".", 1)[0]
             parser_fn = TYPE_PARSERS.get(dialect)
             if parser_fn is None:
                 raise self.error(f"no type parser for dialect '{dialect}'")
             return parser_fn(self)
-        if token.text == "(":
+        if text == "(":
             return self.parse_function_type()
         raise self.error("expected a type")
 
@@ -239,27 +283,27 @@ class Parser:
     # -- attributes ------------------------------------------------------
 
     def parse_attribute(self) -> Attribute:
-        token = self.current
-        if token.kind == "STRING":
+        kind, text = self.kind, self.text
+        if kind == "STRING":
             return StringAttr(self.parse_string())
-        if token.kind == "INT":
+        if kind == "INT":
             value = self.parse_int()
             if self.accept(":"):
                 return IntegerAttr(value, self.parse_type())
             return IntegerAttr(value)
-        if token.kind == "AT":
+        if kind == "AT":
             self.advance()
-            return SymbolRefAttr(token.text[1:])
-        if token.text == "true":
+            return SymbolRefAttr(text[1:])
+        if text == "true":
             self.advance()
             return BoolAttr(True)
-        if token.text == "false":
+        if text == "false":
             self.advance()
             return BoolAttr(False)
-        if token.text == "unit":
+        if text == "unit":
             self.advance()
             return UnitAttr()
-        if token.text == "[":
+        if text == "[":
             self.advance()
             elements: list[Attribute] = []
             if not self.accept("]"):
@@ -268,15 +312,15 @@ class Parser:
                     elements.append(self.parse_attribute())
                 self.expect("]")
             return ArrayAttr(tuple(elements))
-        if token.kind == "HASHID":
+        if kind == "HASHID":
             from .registry import ATTR_PARSERS
 
-            dialect = token.text[1:].split(".", 1)[0]
+            dialect = text[1:].split(".", 1)[0]
             parser_fn = ATTR_PARSERS.get(dialect)
             if parser_fn is None:
                 raise self.error(f"no attribute parser for dialect '{dialect}'")
             return parser_fn(self)
-        if token.kind in ("ID", "BANGID") or token.text == "(":
+        if kind in ("ID", "BANGID") or text == "(":
             return self.parse_type()
         raise self.error("expected an attribute")
 
@@ -287,10 +331,9 @@ class Parser:
         if self.accept("}"):
             return attrs
         while True:
-            key_token = self.current
-            if key_token.kind not in ("ID", "STRING"):
+            if self.kind not in ("ID", "STRING"):
                 raise self.error("expected attribute name")
-            key = self.parse_string() if key_token.kind == "STRING" else self.advance().text
+            key = self.parse_string() if self.kind == "STRING" else self.advance()
             if self.accept("="):
                 attrs[key] = self.parse_attribute()
             else:
@@ -306,15 +349,15 @@ class Parser:
         """Parse a whole input: a ``builtin.module`` or a bare op list."""
         from ..dialects.builtin import ModuleOp
 
-        if self.current.text == "builtin.module":
+        if self.text == "builtin.module":
             op = self.parse_operation()
-            if self.current.kind != "EOF":
+            if self.kind != "EOF":
                 raise self.error("unexpected trailing input")
             if not isinstance(op, ModuleOp):
                 raise self.error("expected builtin.module at top level")
             return op
         block = Block()
-        while self.current.kind != "EOF":
+        while self.kind != "EOF":
             block.add_op(self.parse_operation())
         module = ModuleOp.create()
         for op in list(block.ops):
@@ -323,18 +366,18 @@ class Parser:
         return module
 
     def parse_operation(self) -> Operation:
-        start = self.current
+        line, column = self.location()
         result_names: list[str] = []
-        if self.current.kind == "PERCENT":
-            result_names.append(self.advance().text[1:])
+        if self.kind == "PERCENT":
+            result_names.append(self.advance()[1:])
             while self.accept(","):
-                result_names.append(self.expect_kind("PERCENT").text[1:])
+                result_names.append(self.expect_kind("PERCENT")[1:])
             self.expect("=")
         op = self._parse_op_body()
         # Nested ops got their own locations during the recursive parse;
         # only the op this call produced is still unlocated.
         if op.loc is None:
-            op.loc = SourceLoc(start.line, start.column, self._filename)
+            op.loc = SourceLoc(line, column, self._filename)
         if result_names:
             if len(result_names) != len(op.results):
                 raise self.error(
@@ -346,11 +389,11 @@ class Parser:
         return op
 
     def _parse_op_body(self) -> Operation:
-        token = self.current
-        if token.kind == "STRING":
+        if self.kind == "STRING":
             return self._parse_generic_op()
-        if token.kind == "ID":
-            custom = CUSTOM_PARSERS.get(token.text)
+        if self.kind == "ID":
+            name = self.text
+            custom = CUSTOM_PARSERS.get(name)
             if custom is not None:
                 self.advance()
                 op = custom(self)
@@ -358,10 +401,10 @@ class Parser:
                 # custom syntax does not carry (e.g. accfg.effects).  A bare
                 # '{' can never start the next operation, so this is
                 # unambiguous.
-                if self.current.text == "{" and op.name != "builtin.module":
+                if self.text == "{" and op.name != "builtin.module":
                     op.attributes.update(self.parse_attr_dict())
                 return op
-            raise self.error(f"unknown operation '{token.text}'")
+            raise self.error(f"unknown operation '{name}'")
         raise self.error("expected an operation")
 
     def _parse_generic_op(self) -> Operation:
@@ -378,7 +421,7 @@ class Parser:
                 f"{len(func_type.inputs)} operand types"
             )
         regions: list[Region] = []
-        while self.current.text == "{":
+        while self.text == "{":
             regions.append(self.parse_region())
         op_class = OP_REGISTRY.get(name)
         if op_class is None:
@@ -413,21 +456,21 @@ class Parser:
             for arg_name, arg_type in entry_args:
                 arg = block.add_arg(arg_type, arg_name)
                 self.define_value(arg_name, arg)
-        elif self.current.kind == "CARET":
+        elif self.kind == "CARET":
             self.advance()
             self.expect("(")
             if not self.accept(")"):
                 while True:
-                    arg_token = self.expect_kind("PERCENT")
+                    arg_name = self.expect_kind("PERCENT")[1:]
                     self.expect(":")
                     arg_type = self.parse_type()
-                    arg = block.add_arg(arg_type, arg_token.text[1:])
-                    self.define_value(arg_token.text[1:], arg)
+                    arg = block.add_arg(arg_type, arg_name)
+                    self.define_value(arg_name, arg)
                     if not self.accept(","):
                         break
                 self.expect(")")
             self.expect(":")
-        while self.current.text != "}":
+        while self.text != "}":
             block.add_op(self.parse_operation())
         self.expect("}")
         self.pop_scope()
@@ -448,6 +491,6 @@ def parse_operation(text: str, filename: str | None = None) -> Operation:
 
     parser = Parser(text, filename)
     op = parser.parse_operation()
-    if parser.current.kind != "EOF":
+    if parser.kind != "EOF":
         raise parser.error("unexpected trailing input")
     return op

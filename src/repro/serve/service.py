@@ -15,7 +15,9 @@ intra-program to inter-request, in three tiers:
   earlier is served from a bounded LRU of outcomes, and a re-request that
   only differs in parameters reuses the parsed-and-optimized module object,
   which keeps the shared :class:`~repro.analysis.AnalysisManager` entries
-  (keyed on op identity) alive across requests.
+  (keyed on op identity) alive across requests.  Those entries live exactly
+  as long as their module's cache entry: evicting a module, or finishing a
+  request whose module was never cached, drops them.
 * **Shared engine caches** — all tenants share one
   :class:`~repro.engine.TraceCache` (process-global ``TRACE_CACHE`` by
   default, with whatever persistent tier is attached to it), so a compile
@@ -588,8 +590,20 @@ class CompileService:
             with self._lock:
                 self._modules[key] = module
                 while len(self._modules) > self.module_cache_size:
-                    self._modules.popitem(last=False)
+                    _, evicted = self._modules.popitem(last=False)
+                    self.analyses.forget(evicted)
         return module
+
+    def _drop_analyses(self, module) -> None:
+        """Drop ``module``'s analyses unless the module cache still holds it.
+
+        Analyses pin the module they were computed over, so entries for a
+        module no cache can hand out again would only grow the heap.
+        """
+        with self._lock:
+            if any(cached is module for cached in self._modules.values()):
+                return
+        self.analyses.forget(module)
 
     def _execute(self, op: str, request: dict[str, Any]) -> tuple[bool, Any]:
         """One computation; never raises for request-shaped problems.
@@ -602,8 +616,10 @@ class CompileService:
             self.chaos.on_execute(request)
         try:
             module = self._parsed_module(op, request)
-            handler = getattr(self, f"_op_{op}")
-            return (True, handler(module, request))
+            try:
+                return (True, getattr(self, f"_op_{op}")(module, request))
+            finally:
+                self._drop_analyses(module)
         except ProtocolError as error:
             return (False, ("protocol", str(error)))
         except Exception as error:  # noqa: BLE001 - reported to the client

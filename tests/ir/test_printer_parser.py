@@ -1,9 +1,15 @@
 """Round-trip and error tests for the textual printer/parser pair."""
 
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir import ParseError, parse_module, parse_operation, verify_operation
-from repro.ir.parser import tokenize
+from repro.ir.parser import line_column, tokenize
 
 
 def roundtrip(text: str) -> str:
@@ -18,23 +24,30 @@ def roundtrip(text: str) -> str:
 
 class TestTokenizer:
     def test_basic_tokens(self):
-        kinds = [t.kind for t in tokenize('%x = "foo.bar"() : () -> ()')]
+        kinds, _, _ = tokenize('%x = "foo.bar"() : () -> ()')
         assert kinds[:3] == ["PERCENT", "PUNCT", "STRING"]
 
     def test_comments_skipped(self):
-        tokens = tokenize("// a comment\n%x")
-        assert [t.kind for t in tokens] == ["PERCENT", "EOF"]
+        kinds, texts, _ = tokenize("// a comment\n%x")
+        assert kinds == ["PERCENT", "EOF"]
+        assert texts == ["%x", ""]
+
+    def test_comment_at_end_of_input_is_skipped_whole(self):
+        for text in ("%x // tail", "%x\n  // tail\n"):
+            kinds, _, _ = tokenize(text)
+            assert kinds == ["PERCENT", "EOF"]
 
     def test_line_numbers(self):
-        tokens = tokenize("\n\n%x")
-        assert tokens[0].line == 3
+        text = "\n\n%x"
+        _, _, offsets = tokenize(text)
+        assert line_column(text, offsets[0]) == (3, 1)
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             tokenize("€")
 
     def test_arrow_token(self):
-        assert tokenize("->")[0].kind == "ARROW"
+        assert tokenize("->")[0][0] == "ARROW"
 
 
 class TestRoundTrips:
@@ -228,6 +241,88 @@ class TestParseErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_operation("func.return }")
+
+
+class TestParseErrorLocations:
+    def test_error_after_comments_and_blank_lines(self):
+        text = "// header\n\n  // more\n\nbuiltin.module {\n  %x = bogus.op\n}\n"
+        with pytest.raises(ParseError, match=r"^line 6:8: unknown operation 'bogus.op'"):
+            parse_module(text)
+
+    def test_bad_character_after_comments(self):
+        with pytest.raises(ParseError, match=r"^line 3:8: unexpected character '€'"):
+            tokenize("// a comment with € in it\n\n  %x = € ")
+
+    def test_error_at_end_of_input(self):
+        with pytest.raises(ParseError, match=r"^line 3:1: expected an operation"):
+            parse_module("builtin.module {\n  // unterminated\n")
+
+    def test_error_inside_a_region_reports_its_own_line(self):
+        text = (
+            "func.func @f() -> () {\n"
+            "  // the next line uses a value nobody defined\n"
+            "\n"
+            "  %x = arith.addi %y, %y : i64\n"
+            "  func.return\n"
+            "}\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 4:19: use of undefined value %y"):
+            parse_module(text)
+
+
+@pytest.fixture(scope="module")
+def example_texts(tmp_path_factory):
+    """Hand-written example IR and a fuzz reproducer (comment header)."""
+    from repro.testing.corpus import ReproducerMeta, write_reproducer
+    from repro.testing.generator import Invoke, Loop, ProgramSpec, build_spec
+
+    examples = Path(__file__).resolve().parents[2] / "examples"
+    sys.path.insert(0, str(examples))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            import linalg_pipeline
+            import quickstart
+    finally:
+        sys.path.remove(str(examples))
+    spec = ProgramSpec(
+        backend="toyvec",
+        stmts=(Loop(2, (Invoke("toyvec", (), launch=True),)),),
+    )
+    meta = ReproducerMeta(
+        backend="toyvec", pipeline="dedup", oracle="functional",
+        seed=1, memory_seed=1, args=(1, 0),
+    )
+    directory = tmp_path_factory.mktemp("corpus")
+    path = write_reproducer(str(directory), meta, str(build_spec(spec).module))
+    return {
+        "quickstart": quickstart.PROGRAM,
+        "linalg_pipeline": linalg_pipeline.SOURCE,
+        "reproducer": Path(path).read_text(),
+    }
+
+
+class TestSourceLocations:
+    @pytest.mark.parametrize("name", ["quickstart", "linalg_pipeline", "reproducer"])
+    def test_every_op_is_located_at_its_first_token(self, example_texts, name):
+        text = example_texts[name]
+        module = parse_module(text)
+        ops = [op for op in module.walk() if op.loc is not None]
+        assert len(ops) >= 8
+        position = 0
+        for op in ops:
+            if op.results and op.results[0].name_hint:
+                first = "%" + op.results[0].name_hint
+            else:
+                first = op.name
+            # Ops print one per line, so an op starts its line; walk order
+            # is text order, so each search starts at the previous op.
+            found = re.compile(
+                r"^[ \t]*(" + re.escape(first) + r"|\"" + re.escape(op.name) + r"\")",
+                re.MULTILINE,
+            ).search(text, position)
+            assert found is not None, first
+            position = found.start(1)
+            assert (op.loc.line, op.loc.column) == line_column(text, position)
 
 
 class TestValueNaming:

@@ -3,8 +3,17 @@
 
 from repro.dialects import accfg, scf
 from repro.ir import parse_module
-from repro.passes import TraceStatesPass
-from repro.passes.dedup import KnownFieldsAnalysis
+from repro.passes import PIPELINES, TraceStatesPass, pipeline_by_name
+from repro.passes.dedup import KnownFields, KnownFieldsAnalysis, intersect
+from repro.testing.generator import (
+    Branch,
+    FieldWrite,
+    Invoke,
+    Loop,
+    ProgramSpec,
+    build_spec,
+)
+from repro.testing.oracles import check_subject, subject_for_spec
 
 
 def known_after_if(text):
@@ -125,3 +134,63 @@ class TestBranchIntersection:
         # "op" must still be written somewhere after the branch (inside the
         # branches after hoisting, or in the final setup).
         assert "op" in remaining
+
+
+class TestOptimisticMeet:
+    """Regression (found by fuzzing): the meet of two optimistic tops must
+    keep every override, one-sided or conflicting, or a loop-carried state
+    claims to hold a value that a branch in the loop body overwrote."""
+
+    def test_one_sided_and_conflicting_overrides_survive(self):
+        module = parse_module(
+            """
+            func.func @f(%x : i64, %y : i64) -> () {
+              func.return
+            }
+            """
+        )
+        x, y = next(op for op in module.walk() if op.name == "func.func").body.args
+        a = KnownFields(True, {"n": x, "op": x})
+        b = KnownFields(True, {"op": y, "ptr_y": y})
+        for met in (intersect(a, b), intersect(b, a)):
+            assert met.is_top
+            assert met.fields["n"] is x
+            assert met.fields["ptr_y"] is y
+            assert met.fields["op"] is not x and met.fields["op"] is not y
+            # A concrete side never matches the conflict marker.
+            assert "op" not in intersect(met, KnownFields(False, {"op": x})).fields
+
+    def test_loop_write_undone_by_a_branch_in_the_loop_survives_dedup(self):
+        # Shrunk from ``fuzz(seed=1030144809)``, toyvec iteration 94:
+        # ptr_y = c2; loop twice { ptr_y = c2; launch; if (true) { ptr_y = c1 } }
+        spec = ProgramSpec(
+            "toyvec",
+            (
+                Invoke("toyvec", (FieldWrite("ptr_y", 2),), launch=False),
+                Loop(
+                    2,
+                    (
+                        Invoke("toyvec", (FieldWrite("ptr_y", 2),)),
+                        Branch(
+                            (
+                                Invoke(
+                                    "toyvec", (FieldWrite("ptr_y", 1),), launch=False
+                                ),
+                            )
+                        ),
+                    ),
+                ),
+            ),
+            cond_value=True,
+        )
+        module = build_spec(spec).module
+        pipeline_by_name("dedup").run(module)
+        loop = next(op for op in module.walk() if isinstance(op, scf.ForOp))
+        in_loop = [
+            op
+            for op in loop.body.ops
+            if isinstance(op, accfg.SetupOp) and op.accelerator == "toyvec"
+        ]
+        assert any("ptr_y" in op.field_names for op in in_loop)
+        pipelines = {name: PIPELINES[name] for name in ("none", "dedup")}
+        assert check_subject(subject_for_spec(spec), pipelines, timing=False) == []

@@ -137,6 +137,29 @@ class TestDedupTiers:
         assert svc.outcome_hits == 0
         assert svc.module_hits == 0
 
+    def test_analyses_are_bounded_by_the_module_cache(self):
+        def variant(value):
+            return PROGRAM.replace("3 : i64", f"{value} : i64")
+
+        one = service()
+        for op in ("lint", "cost"):
+            one.handle({"op": op, "module": variant(0)})
+        per_module = len(one.analyses)
+        assert per_module > 0
+        svc = service(module_cache_size=2)
+        for value in range(8):
+            for op in ("lint", "cost"):
+                assert svc.handle({"op": op, "module": variant(value)})["ok"]
+        assert len(svc._modules) == 2
+        assert len(svc.analyses) == 2 * per_module
+
+    def test_dedup_off_drops_analyses_per_request(self):
+        svc = service(dedup=False)
+        for value in range(4):
+            for op in ("lint", "cost"):
+                svc.handle({"op": op, "module": PROGRAM.replace("3 :", f"{value} :")})
+        assert len(svc.analyses) == 0
+
     def test_outcome_cache_is_bounded(self):
         svc = service(outcome_cache_size=2)
         for value in (1, 2, 3):
