@@ -204,6 +204,13 @@ def registered_accelerators() -> list[str]:
     return sorted(_REGISTRY)
 
 
+_BUILTINS_LOADED = False
+
+
 def _ensure_builtin_targets() -> None:
     """Import the built-in target modules so they self-register."""
-    from . import gemmini, opengemm, toyvec  # noqa: F401
+    global _BUILTINS_LOADED
+    if not _BUILTINS_LOADED:
+        from . import gemmini, opengemm, toyvec  # noqa: F401
+
+        _BUILTINS_LOADED = True

@@ -194,6 +194,34 @@ def _print_field_list(printer: Printer, fields) -> None:
     printer.emit(")")
 
 
+#: ``repro.backends.base.get_accelerator_or_none``, bound on first use
+#: (the backends package imports this dialect)
+_lookup_accelerator = None
+
+
+def _verify_registered_fields(
+    op: Operation, accelerator: str, field_names: tuple[str, ...]
+) -> None:
+    """Every field an op names must exist on its registered accelerator.
+
+    Unregistered accelerators pass: they are the ACCFG009 lint's concern.
+    """
+    global _lookup_accelerator
+    if _lookup_accelerator is None:
+        from ..backends.base import get_accelerator_or_none
+
+        _lookup_accelerator = get_accelerator_or_none
+    spec = _lookup_accelerator(accelerator)
+    if spec is None:
+        return
+    for field_name in field_names:
+        if field_name not in spec.fields:
+            raise VerifyError(
+                f"{op.name} names field '{field_name}', which accelerator "
+                f"'{accelerator}' does not have"
+            )
+
+
 @register_op
 class SetupOp(Operation):
     """Write configuration fields; produce the resulting accelerator state."""
@@ -332,6 +360,7 @@ class SetupOp(Operation):
                 if field_name in seen:
                     raise VerifyError(f"duplicate setup field '{field_name}'")
                 seen.add(field_name)
+        _verify_registered_fields(self, accelerator.value, field_names)
 
     def print_custom(self, printer: Printer) -> None:
         printer.emit(f'accfg.setup on "{self.accelerator}" ')
@@ -426,6 +455,7 @@ class LaunchOp(Operation):
             raise VerifyError("accfg.launch token/state accelerator mismatch")
         if len(self.field_names) != len(self.operands) - 1:
             raise VerifyError("accfg.launch param_names/operand count mismatch")
+        _verify_registered_fields(self, state_type.accelerator, self.field_names)
 
     def print_custom(self, printer: Printer) -> None:
         printer.emit("accfg.launch ")

@@ -8,8 +8,6 @@ from .cse import CSEPass, cse_root
 from .dce import DCEPass
 from .dedup import (
     DedupPass,
-    KnownFields,
-    KnownFieldsAnalysis,
     eliminate_redundant_fields,
     hoist_invariant_setup_fields,
     hoist_setups_into_branches,
@@ -46,7 +44,6 @@ from .unroll import UnrollPass
 from .trace_states import (
     StateTracer,
     TraceStatesPass,
-    state_linearity_diagnostics,
 )
 
 __all__ = [
@@ -56,8 +53,6 @@ __all__ = [
     "cse_root",
     "DCEPass",
     "DedupPass",
-    "KnownFields",
-    "KnownFieldsAnalysis",
     "eliminate_redundant_fields",
     "hoist_invariant_setup_fields",
     "hoist_setups_into_branches",
@@ -90,6 +85,5 @@ __all__ = [
     "pipeline_by_name",
     "StateTracer",
     "TraceStatesPass",
-    "state_linearity_diagnostics",
     "UnrollPass",
 ]

@@ -22,7 +22,6 @@ from ..ir.operation import Operation
 from ..ir.rewriter import (
     PatternRewriter,
     RewritePattern,
-    apply_patterns_greedily,
     drive_patterns,
 )
 from ..ir.ssa import SSAValue
@@ -124,15 +123,12 @@ class DedupConstantPattern(RewritePattern):
     """Merge identical constants within one block (local constant uniquing).
 
     A memo of the representative constant per ``(block, value, type)`` lives
-    on the rewriter.  Under the sweep driver the rewriter (and memo) is
-    recreated every sweep and ops are visited in block order, so the first
-    constant seen is the earliest.  The worklist driver's rewriter *outlives*
-    any single pass over the IR and pops in worklist (not block) order, so
-    the memo must be validated on every hit: a memoized constant that was
-    erased or moved away no longer counts, and when both constants are live
-    the *earlier one in the block* survives regardless of visit order —
-    which is both the dominance-safe choice and the sweep driver's normal
-    form.
+    on the rewriter.  The worklist driver's rewriter *outlives* any single
+    pass over the IR and pops in worklist (not block) order, so the memo
+    must be validated on every hit: a memoized constant that was erased or
+    moved away no longer counts, and when both constants are live the
+    *earlier one in the block* survives regardless of visit order — the
+    dominance-safe choice, and a deterministic normal form.
     """
 
     root_ops = (arith.ConstantOp,)
@@ -182,5 +178,4 @@ __all__ = [
     "DedupConstantPattern",
     "DEFAULT_PATTERNS",
     "CanonicalizePass",
-    "apply_patterns_greedily",
 ]

@@ -29,11 +29,12 @@ engine does not model are skipped (the model makes no claim about them).
 Any crash while optimizing or executing is reported as a ``crash``
 oracle finding; ``trace-vs-tree`` cross-checks the trace-compiled
 execution engine against the reference tree interpreter (see *Engines*
-below).  A ``driver-divergence`` oracle activates under
-``REPRO_REWRITE_DRIVER=both``: every pipeline is replayed on a fresh clone
-with the legacy sweep pattern driver and both optimized modules must have
-identical structural keys — the worklist driver's normal form is the sweep
-driver's normal form, on every fuzzed program.
+below).  The always-on **fixpoint** oracle holds the fused cleanup driver
+to its claim: after every ``CleanupPass`` a pipeline runs, cleanup is
+applied once more in place and must report ``False`` (module untouched).
+A ``False`` report means nothing was mutated, so the check needs no clone;
+each distinct pass prefix ending in a cleanup is checked once per subject.
+Any other report is a ``fixpoint`` finding naming the pipeline.
 
 Hot-path structure
 ------------------
@@ -80,8 +81,7 @@ import numpy as np
 from ..analysis import error_code_counts, run_lints
 from ..interp import run_module
 from ..ir import structural_key, verify_operation
-from ..ir.rewriter import active_driver, use_driver
-from ..passes import PIPELINES, PassManager
+from ..passes import PIPELINES, CleanupPass, ModulePass, PassManager
 from ..sim import CoSimulator
 from ..sim.memory import Memory, MemorySnapshot
 from .generator import ProgramSpec, build_memory, build_spec
@@ -113,7 +113,7 @@ class OracleFailure:
     """One oracle violation for one pipeline."""
 
     #: "functional" | "timing" | "lint" | "static-cost" | "crash"
-    #: | "trace-vs-tree" | "batch-vs-scalar" | "driver-divergence"
+    #: | "trace-vs-tree" | "batch-vs-scalar" | "fixpoint"
     oracle: str
     pipeline: str
     message: str
@@ -519,6 +519,47 @@ def _functional_failures(
         )
 
 
+class _FixpointProbe(ModulePass):
+    """Re-applies cleanup right after a pipeline's ``CleanupPass``.
+
+    ``prefix`` keys the pass sequence that produced the module (None when
+    a pass is opaque to :func:`_pass_state_key`); a keyed prefix already in
+    ``checked`` is skipped.  The report is returned so the pass manager
+    invalidates analyses if the probe did change the module.
+    """
+
+    name = "fixpoint-probe"
+
+    def __init__(self, pipeline, position, prefix, checked, failures):
+        self.pipeline = pipeline
+        self.position = position
+        self.prefix = prefix
+        self.checked = checked
+        self.failures = failures
+
+    def apply(self, module, analyses=None):
+        if self.prefix is not None:
+            if self.prefix in self.checked:
+                return False
+            self.checked.add(self.prefix)
+        report = CleanupPass().apply(module, None)
+        if report is not False:
+            detail = (
+                "a module-wide change"
+                if report is True
+                else f"changes in {len(report)} scope(s)"
+            )
+            self.failures.append(
+                OracleFailure(
+                    "fixpoint",
+                    self.pipeline,
+                    f"cleanup (pass {self.position + 1}) stopped short of "
+                    f"its fixpoint: a second run reported {detail}",
+                )
+            )
+        return report
+
+
 class _SubjectRunner:
     """Runs pipelines over clones of one verified base module, deduplicating
     identical optimized outputs through a per-subject outcome cache."""
@@ -542,14 +583,35 @@ class _SubjectRunner:
         self._resume_counts = dict(resume_counts or {})
         #: prefix key tuple -> module state after running that prefix
         self._prefix_states: dict[tuple, object] = {}
+        #: cleanup-ending prefixes the fixpoint probe has already checked
+        self._fixpoint_checked: set[tuple] = set()
 
-    def _run_pipeline(self, pipeline: PassManager):
+    def _probed(self, name, passes, keys, offset, failures) -> list:
+        """``passes`` (pipeline positions ``offset``...) with a fixpoint
+        probe after each ``CleanupPass``."""
+        probed = []
+        for position, pass_ in enumerate(passes, start=offset):
+            probed.append(pass_)
+            if isinstance(pass_, CleanupPass):
+                prefix = tuple(keys[: position + 1]) if keys else None
+                probed.append(
+                    _FixpointProbe(
+                        name, position, prefix, self._fixpoint_checked,
+                        failures,
+                    )
+                )
+        return probed
+
+    def _run_pipeline(
+        self, name: str, pipeline: PassManager, failures: list
+    ):
         """Optimize a clone of the base module, reusing shared prefix states.
 
         Resumes from the longest already-computed shared prefix and
         snapshots the module at each shared-prefix boundary it newly
         crosses, so pass sequences common to several pipelines execute once
-        per subject instead of once per pipeline.
+        per subject instead of once per pipeline.  Fixpoint findings are
+        appended to ``failures``.
         """
         passes = pipeline.passes
         keys = [_pass_state_key(p) for p in passes]
@@ -560,6 +622,7 @@ class _SubjectRunner:
         ):
             module = self.base_module.clone()
             pipeline.verify_each = False
+            pipeline.passes = self._probed(name, passes, None, 0, failures)
             pipeline.run(module)
             return module
         count = len(passes)
@@ -599,7 +662,9 @@ class _SubjectRunner:
                     stop = boundary
                     break
             PassManager(
-                passes[start:stop], verify_each=False, analyses=analyses
+                self._probed(name, passes[start:stop], keys, start, failures),
+                verify_each=False,
+                analyses=analyses,
             ).run(module)
             if stop < count:
                 # Mid-pipeline snapshot: later passes keep mutating
@@ -616,37 +681,6 @@ class _SubjectRunner:
             self._prefix_states[full] = module
         return module
 
-    def _check_driver_equivalence(
-        self, name: str, factory: Callable[[], PassManager], fingerprint
-    ) -> OracleFailure | None:
-        """Re-run the pipeline under the legacy sweep driver and compare.
-
-        The worklist driver's tentpole claim is that it reaches the *same
-        normal form* as fixpoint-of-full-sweeps, just without the re-walks;
-        under ``REPRO_REWRITE_DRIVER=both`` every pipeline run is replayed
-        on a fresh clone with the sweep driver and the two optimized modules
-        are compared by exact structural key.
-        """
-        try:
-            sweep_module = self.base_module.clone()
-            with use_driver("sweep"):
-                factory().run(sweep_module)
-            verify_operation(sweep_module)
-        except Exception as error:  # noqa: BLE001 - asymmetry is the finding
-            return OracleFailure(
-                "driver-divergence",
-                name,
-                f"sweep driver raised {type(error).__name__}: {error} "
-                "where the worklist driver succeeded",
-            )
-        if structural_key(sweep_module) != fingerprint:
-            return OracleFailure(
-                "driver-divergence",
-                name,
-                "worklist and sweep drivers reached different normal forms",
-            )
-        return None
-
     def run(
         self,
         name: str,
@@ -656,7 +690,7 @@ class _SubjectRunner:
         args: list[int] | None = None,
     ) -> tuple[RunOutcome | OracleFailure, list[OracleFailure]]:
         """One pipeline's outcome plus any cross-check divergences
-        (trace-vs-tree, worklist-vs-sweep)."""
+        (fixpoint, trace-vs-tree, batch-vs-scalar)."""
         extras: list[OracleFailure] = []
         stage = "optimize"
         try:
@@ -665,18 +699,12 @@ class _SubjectRunner:
                 pipeline.passes or pipeline.lint
             )
             if ran_passes:
-                module = self._run_pipeline(pipeline)
+                module = self._run_pipeline(name, pipeline, extras)
             else:
                 # No passes to run: the base module *is* this pipeline's
                 # output (it is never mutated, so no clone is needed).
                 module = self.base_module
             fingerprint = structural_key(module)
-            if ran_passes and factory is not None and active_driver() == "both":
-                failure = self._check_driver_equivalence(
-                    name, factory, fingerprint
-                )
-                if failure is not None:
-                    extras.append(failure)
             cached = self.outcomes.get(fingerprint)
             if cached is not None:
                 # An identical module already verified, executed, and linted

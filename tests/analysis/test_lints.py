@@ -7,8 +7,12 @@
 import pytest
 
 from repro.analysis import Severity, run_lints
+from repro.analysis.linearity import (
+    UNKNOWN_ACCELERATOR,
+    linearity_diagnostics,
+    unknown_accelerator_diagnostics,
+)
 from repro.ir import parse_module
-from repro.passes import state_linearity_diagnostics
 
 
 def lint_codes(text, **kwargs):
@@ -408,6 +412,8 @@ class TestRunLintsFiltering:
 
 
 class TestLegacyWrapper:
+    """Linearity and unknown-accelerator checks together, by code."""
+
     def test_returns_strings_and_flags_unregistered_names(self):
         module = parse_module("""builtin.module {
   func.func @main(%n : i64) -> () {
@@ -416,9 +422,13 @@ class TestLegacyWrapper:
   }
 }
 """)
-        diagnostics = state_linearity_diagnostics(module)
-        assert diagnostics and all(isinstance(d, str) for d in diagnostics)
-        assert any("not registered" in d for d in diagnostics)
+        diagnostics = linearity_diagnostics(module)
+        diagnostics += unknown_accelerator_diagnostics(module)
+        assert diagnostics and all(isinstance(d.message, str) for d in diagnostics)
+        assert any(
+            d.code == UNKNOWN_ACCELERATOR and "not registered" in d.message
+            for d in diagnostics
+        )
 
 
 class TestRetentionHazard:

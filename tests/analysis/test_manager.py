@@ -154,12 +154,13 @@ class TestPassManagerIntegration:
         assert pm.analyses.awaited_tokens(second) is kept
 
     def test_legacy_pass_invalidates_everything(self):
+        """A pass reporting ``None`` (no change report) invalidates all."""
         module, (first, _) = setup_module()
 
         class Legacy(ModulePass):
             name = "legacy"
 
-            def apply(self, module):
+            def apply(self, module, analyses=None):
                 return None
 
         pm = PassManager([Legacy()])

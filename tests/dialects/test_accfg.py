@@ -127,13 +127,39 @@ class TestLaunchOp:
     def test_launch_fields(self):
         s = setup()
         v = const(3)
-        launch = accfg.LaunchOp.create(s.out_state, [("go", v.result)])
-        assert launch.fields == (("go", v.result),)
+        launch = accfg.LaunchOp.create(s.out_state, [("op", v.result)])
+        assert launch.fields == (("op", v.result),)
         launch.verify_()
 
     def test_launch_requires_state(self):
         with pytest.raises(VerifyError):
             accfg.LaunchOp.create(const(1).result)
+
+
+class TestRegisteredFields:
+    def test_setup_field_missing_from_spec_rejected(self):
+        op = setup([("no_such_field", const(1).result)])
+        with pytest.raises(VerifyError) as info:
+            op.verify_()
+        message = str(info.value)
+        assert "accfg.setup" in message
+        assert "'toyvec'" in message and "'no_such_field'" in message
+
+    def test_launch_field_missing_from_spec_rejected(self):
+        launch = accfg.LaunchOp.create(
+            setup().out_state, [("go", const(3).result)]
+        )
+        with pytest.raises(VerifyError) as info:
+            launch.verify_()
+        message = str(info.value)
+        assert "accfg.launch" in message
+        assert "'toyvec'" in message and "'go'" in message
+
+    def test_unregistered_accelerator_is_left_to_the_lint(self):
+        # ACCFG009 warns about the accelerator name; the verifier accepts it.
+        op = setup([("anything", const(1).result)], accel="not_registered")
+        op.verify_()
+        accfg.LaunchOp.create(op.out_state, [("go", const(2).result)]).verify_()
 
 
 class TestAwaitOp:

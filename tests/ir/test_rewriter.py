@@ -10,7 +10,7 @@ from repro.ir import (
     PatternRewriter,
     RewritePattern,
     Rewriter,
-    apply_patterns_greedily,
+    drive_patterns,
     i64,
 )
 
@@ -98,7 +98,7 @@ class TestGreedyDriver:
     def test_applies_to_fixpoint(self):
         block, *_ = block_with_chain()
         wrapper = _wrap(block)
-        changed = apply_patterns_greedily(wrapper, [ReplaceAddWithSub()])
+        changed = drive_patterns(wrapper, [ReplaceAddWithSub()]).changed
         assert changed
         names = [op.name for op in block.ops]
         assert "arith.addi" not in names
@@ -107,7 +107,7 @@ class TestGreedyDriver:
     def test_no_change_returns_false(self):
         block = Block([arith.ConstantOp.create(1, i64)])
         wrapper = _wrap(block)
-        assert not apply_patterns_greedily(wrapper, [ReplaceAddWithSub()])
+        assert not drive_patterns(wrapper, [ReplaceAddWithSub()]).changed
 
     def test_max_iterations_bounds_runaway(self):
         class Flipper(RewritePattern):
@@ -125,7 +125,7 @@ class TestGreedyDriver:
         block, *_ = block_with_chain()
         wrapper = _wrap(block)
         # Terminates despite the non-converging pattern.
-        assert apply_patterns_greedily(wrapper, [Flipper()], max_iterations=5)
+        assert drive_patterns(wrapper, [Flipper()], max_iterations=5).changed
 
 
 def _wrap(block: Block) -> Operation:
@@ -135,7 +135,7 @@ def _wrap(block: Block) -> Operation:
 
 
 # ---------------------------------------------------------------------------
-# Worklist driver: indexing, incrementality, and driver selection
+# Worklist driver: indexing, incrementality, and the driver cache
 # ---------------------------------------------------------------------------
 
 from repro.ir import (  # noqa: E402 - grouped with the tests that use them
@@ -143,14 +143,9 @@ from repro.ir import (  # noqa: E402 - grouped with the tests that use them
     PatternDriverWarning,
     Region,
     UnregisteredOp,
-    active_driver,
-    drive_patterns,
     i1,
-    print_operation,
-    use_driver,
 )
 from repro.passes.canonicalize import (  # noqa: E402
-    DEFAULT_PATTERNS,
     DeadPureOpPattern,
     FoldPattern,
     SimplifyConstantIfPattern,
@@ -256,7 +251,7 @@ class TestWorklistIncrementality:
         # dead: the cascade only happens if erasure re-enqueues definers.
         block, *_ = block_with_chain()
         wrapper = _wrap(block)
-        assert apply_patterns_greedily(wrapper, [DeadPureOpPattern()])
+        assert drive_patterns(wrapper, [DeadPureOpPattern()]).changed
         assert list(block.ops) == []
 
     def test_inserted_ops_are_processed(self):
@@ -276,7 +271,7 @@ class TestWorklistIncrementality:
         block.add_ops([c2, mul, sink])
         wrapper = _wrap(block)
         # MulToAdd inserts a fresh addi; FoldPattern must still see it.
-        assert apply_patterns_greedily(wrapper, [MulToAdd(), FoldPattern()])
+        assert drive_patterns(wrapper, [MulToAdd(), FoldPattern()]).changed
         names = [op.name for op in block.ops]
         assert "arith.addi" not in names and "arith.muli" not in names
         assert isinstance(sink.operands[0].owner, arith.ConstantOp)
@@ -296,9 +291,7 @@ class TestWorklistIncrementality:
         wrapper = _wrap(block)
         # The if is popped first (walk order) and erased wholesale; the
         # already-queued inner addi must be skipped, not offered to patterns.
-        apply_patterns_greedily(
-            wrapper, [SimplifyConstantIfPattern(), recorder]
-        )
+        drive_patterns(wrapper, [SimplifyConstantIfPattern(), recorder])
         assert inner_add not in recorder.seen
 
     def test_nonconvergence_warns(self):
@@ -312,13 +305,10 @@ class TestWorklistIncrementality:
                     return True
                 return False
 
-        for driver in ("worklist", "sweep"):
-            block, *_ = block_with_chain()
-            wrapper = _wrap(block)
-            with pytest.warns(PatternDriverWarning):
-                apply_patterns_greedily(
-                    wrapper, [Flipper()], max_iterations=3, driver=driver
-                )
+        block, *_ = block_with_chain()
+        wrapper = _wrap(block)
+        with pytest.warns(PatternDriverWarning):
+            drive_patterns(wrapper, [Flipper()], max_iterations=3)
 
     def test_report_names_changed_scopes_only(self):
         fn_blocks = [Block(), Block()]
@@ -339,33 +329,7 @@ class TestWorklistIncrementality:
 
 
 class TestDriverSelection:
-    def test_default_is_worklist(self):
-        assert active_driver() in ("worklist", "both")
-
-    def test_use_driver_scopes_and_restores(self):
-        before = active_driver()
-        with use_driver("sweep"):
-            assert active_driver() == "sweep"
-            with use_driver("worklist"):
-                assert active_driver() == "worklist"
-            assert active_driver() == "sweep"
-        assert active_driver() == before
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            with use_driver("bogus"):
-                pass
-
-    def test_drivers_agree_on_default_patterns(self):
-        def canonicalized(driver):
-            block, *_ = block_with_chain()
-            sink = scf.YieldOp.create([block.ops[-1].results[0]])
-            block.add_op(sink)
-            wrapper = _wrap(block)
-            drive_patterns(wrapper, DEFAULT_PATTERNS, driver=driver)
-            return print_operation(wrapper)
-
-        assert canonicalized("worklist") == canonicalized("sweep")
+    """``drive_patterns`` selects one cached driver per pattern set."""
 
     def test_driver_instances_are_cached(self):
         from repro.ir.rewriter import _cached_driver

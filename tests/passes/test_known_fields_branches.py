@@ -1,10 +1,10 @@
 """Tests for the known-fields dataflow through branches (Section 5.4.1:
 "our inference has to take the intersection of the two sides")."""
 
+from repro.analysis.dataflow import KnownFields, KnownFieldsAnalysis, intersect
 from repro.dialects import accfg, scf
 from repro.ir import parse_module
 from repro.passes import PIPELINES, TraceStatesPass, pipeline_by_name
-from repro.passes.dedup import KnownFields, KnownFieldsAnalysis, intersect
 from repro.testing.generator import (
     Branch,
     FieldWrite,

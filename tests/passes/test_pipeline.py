@@ -41,13 +41,14 @@ class TestPassManager:
         class CorruptingPass(ModulePass):
             name = "corrupting-test-pass"
 
-            def apply(self, module):
+            def apply(self, module, analyses=None):
                 # Move a terminator to a non-terminal position.
                 fn = module.body_block.ops[0]
                 body = fn.regions[0].block
                 ret = body.ops[-1]
                 body.detach_op(ret)
                 body.insert_op_at(0, ret)
+                return True
 
         module = parse_module(PROGRAM)
         pm = PassManager([CorruptingPass()], verify_each=True)
@@ -58,8 +59,8 @@ class TestPassManager:
         class Dup(ModulePass):
             name = "canonicalize"
 
-            def apply(self, module):
-                pass
+            def apply(self, module, analyses=None):
+                return False
 
         with pytest.raises(ValueError, match="registered twice"):
             register_pass(Dup)

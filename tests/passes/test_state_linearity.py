@@ -1,7 +1,20 @@
 """Tests for the one-live-state constraint checker (paper, Section 5.1)."""
 
+from repro.analysis.linearity import (
+    FORKED_CHAIN,
+    SUPERSEDED_LAUNCH,
+    linearity_diagnostics,
+    unknown_accelerator_diagnostics,
+)
 from repro.ir import parse_module
-from repro.passes import TraceStatesPass, state_linearity_diagnostics
+from repro.passes import TraceStatesPass
+
+
+def state_diagnostics(module):
+    """The linearity and unknown-accelerator findings, as (code, message)."""
+    found = linearity_diagnostics(module)
+    found += unknown_accelerator_diagnostics(module)
+    return [(diag.code, diag.message) for diag in found]
 
 
 class TestLinearChains:
@@ -17,7 +30,7 @@ class TestLinearChains:
             """
         )
         TraceStatesPass().apply(module)
-        assert state_linearity_diagnostics(module) == []
+        assert state_diagnostics(module) == []
 
     def test_traced_loop_is_linear(self):
         module = parse_module(
@@ -37,7 +50,7 @@ class TestLinearChains:
             """
         )
         TraceStatesPass().apply(module)
-        assert state_linearity_diagnostics(module) == []
+        assert state_diagnostics(module) == []
 
     def test_pipelined_loop_is_linear(self):
         from repro.passes import pipeline_by_name
@@ -60,7 +73,7 @@ class TestLinearChains:
             """
         )
         pipeline_by_name("full").run(module)
-        assert state_linearity_diagnostics(module) == []
+        assert state_diagnostics(module) == []
 
 
 class TestViolations:
@@ -75,9 +88,10 @@ class TestViolations:
             }
             """
         )
-        diagnostics = state_linearity_diagnostics(module)
+        diagnostics = state_diagnostics(module)
         assert len(diagnostics) == 1
-        assert "forked" in diagnostics[0]
+        code, message = diagnostics[0]
+        assert code == FORKED_CHAIN and "forked" in message
 
     def test_launch_on_superseded_state_flagged(self):
         module = parse_module(
@@ -90,8 +104,11 @@ class TestViolations:
             }
             """
         )
-        diagnostics = state_linearity_diagnostics(module)
-        assert any("superseded state" in d for d in diagnostics)
+        diagnostics = state_diagnostics(module)
+        assert any(
+            code == SUPERSEDED_LAUNCH and "superseded state" in message
+            for code, message in diagnostics
+        )
 
     def test_untraced_disconnected_setups_allowed(self):
         """Frontend output before tracing: disconnected chains carry no
@@ -105,4 +122,4 @@ class TestViolations:
             }
             """
         )
-        assert state_linearity_diagnostics(module) == []
+        assert state_diagnostics(module) == []

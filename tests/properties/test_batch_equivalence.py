@@ -22,9 +22,8 @@ from repro.engine import (
 from repro.faults import FaultInjector, FaultRates
 from repro.passes import pipeline_by_name
 from repro.sim import CoSimulator
+from repro.testing.generator import build, programs
 from repro.testing.oracles import _batch_lane_divergences
-
-from .program_gen import build, programs
 
 RELAXED = settings(
     max_examples=20,

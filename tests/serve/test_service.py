@@ -101,6 +101,34 @@ class TestErrors:
         assert second["meta"]["cached"]
         assert svc.outcome_hits == 1
 
+    def test_unknown_setup_field_is_one_verify_error_for_every_op(self):
+        # A gemmini generator module with one "A" field renamed: compile
+        # used to accept it while cost and lint crashed with a KeyError.
+        import random
+
+        from repro.ir import print_operation
+        from repro.testing import build_spec, generate_spec
+
+        texts = (
+            print_operation(
+                build_spec(generate_spec(random.Random(seed), "gemmini")).module
+            )
+            for seed in range(20)
+        )
+        text = next(t for t in texts if '"A" =' in t)
+        bad = text.replace('"A" =', '"no_such_field" =', 1)
+        svc = service()
+        errors = []
+        for op in ("compile", "cost", "lint"):
+            response = svc.handle({"op": op, "module": bad})
+            assert not response["ok"], op
+            errors.append(response["error"])
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0]["type"] == "VerifyError"
+        message = errors[0]["message"]
+        assert "accfg.setup" in message
+        assert "'gemmini'" in message and "'no_such_field'" in message
+
 
 class TestDedupTiers:
     def test_repeated_request_hits_the_outcome_cache(self):

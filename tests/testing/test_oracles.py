@@ -10,6 +10,7 @@ from repro.testing import (
     broken_dedup_pipeline,
     check_subject,
     generate_spec,
+    program_seed,
     run_one,
     subject_for_spec,
     timing_slack,
@@ -30,7 +31,7 @@ class _PessimizePass(ModulePass):
     def __init__(self, copies: int = 64) -> None:
         self.copies = copies
 
-    def apply(self, module) -> None:
+    def apply(self, module, analyses=None):
         for op in module.walk():
             if isinstance(op, accfg.SetupOp) and op.fields:
                 prev = op
@@ -40,7 +41,8 @@ class _PessimizePass(ModulePass):
                     )
                     op.parent.insert_op_after(prev, clone)
                     prev = clone
-                return
+                return True
+        return False
 
 
 class _ForkStatePass(ModulePass):
@@ -50,14 +52,15 @@ class _ForkStatePass(ModulePass):
 
     name = "test-fork-state"
 
-    def apply(self, module) -> None:
+    def apply(self, module, analyses=None):
         for op in module.walk():
             if isinstance(op, accfg.SetupOp) and op.in_state is not None:
                 clone = accfg.SetupOp.create(
                     op.accelerator, list(op.fields), in_state=op.in_state
                 )
                 op.parent.insert_op_after(op, clone)
-                return
+                return True
+        return False
 
 
 class TestCleanSubjects:
@@ -148,7 +151,7 @@ class TestCrashOracle:
         class Boom(ModulePass):
             name = "test-boom"
 
-            def apply(self, module) -> None:
+            def apply(self, module, analyses=None):
                 raise RuntimeError("kaboom")
 
         pipelines = {
@@ -163,51 +166,39 @@ class TestCrashOracle:
         assert "kaboom" in crash[0].message
 
 
-class TestDriverDivergenceOracle:
-    def test_divergent_pass_is_caught(self):
-        from repro.dialects import arith
-        from repro.ir import active_driver, i64, use_driver
+class TestFixpointOracle:
+    """The ``fixpoint`` oracle re-runs cleanup after every pipeline cleanup
+    and must see no change."""
 
-        class DriverSensitive(ModulePass):
-            """Leaves an extra (dead, harmless) constant behind, but only
-            under the sweep driver: the two normal forms must differ."""
+    ITERATIONS = 10
 
-            name = "test-driver-sensitive"
+    def _fuzz_failures(self):
+        """Oracle findings over the first seed-0 ``repro fuzz`` programs."""
+        failures = []
+        for iteration in range(self.ITERATIONS):
+            for backend in ("toyvec", "gemmini", "opengemm"):
+                pseed = program_seed(0, backend, iteration)
+                spec = generate_spec(random.Random(pseed), backend)
+                failures += check_subject(
+                    subject_for_spec(spec, memory_seed=pseed)
+                )
+        return failures
 
-            def apply(self, module) -> None:
-                if active_driver() != "sweep":
-                    return
-                for op in module.walk():
-                    if op.parent is not None:
-                        op.parent.insert_op_before(
-                            op, arith.ConstantOp.create(1234, i64)
-                        )
-                        return
+    def test_stubbed_definer_requeue_is_caught(self, monkeypatch):
+        # Without re-enqueueing the operand definers of erased ops, the
+        # worklist driver stops with dead chains left behind: a second
+        # cleanup run still finds work.
+        from repro.ir.rewriter import PatternRewriter
 
-        pipelines = {
-            "none": PIPELINES["none"],
-            "divergent": lambda: PassManager([DriverSensitive()]),
-        }
-        with use_driver("both"):
-            failures = check_subject(subject(), pipelines, timing=False)
-        assert any(
-            f.oracle == "driver-divergence" and f.pipeline == "divergent"
-            for f in failures
-        ), [f.format() for f in failures]
+        monkeypatch.setattr(
+            PatternRewriter, "_touch_operand_definers", lambda self, op: None
+        )
+        failures = self._fuzz_failures()
+        fixpoint = [f for f in failures if f.oracle == "fixpoint"]
+        assert fixpoint, [f.format() for f in failures]
+        assert all(f.pipeline in PIPELINES for f in fixpoint)
+        assert "stopped short of its fixpoint" in fixpoint[0].message
 
-    def test_registered_pipelines_have_no_divergence(self):
-        from repro.ir import use_driver
-
-        with use_driver("both"):
-            failures = check_subject(subject(), timing=False)
-        assert failures == [], [f.format() for f in failures]
-
-    def test_check_only_runs_in_both_mode(self):
-        # The sweep replay doubles pipeline cost, so it is pay-to-play:
-        # outside REPRO_REWRITE_DRIVER=both the default run stays clean
-        # without ever cloning for a second driver.
-        from repro.ir import active_driver
-
-        assert active_driver() == "worklist"
-        failures = check_subject(subject(), timing=False)
+    def test_registered_pipelines_reach_fixpoint(self):
+        failures = self._fuzz_failures()
         assert failures == [], [f.format() for f in failures]
